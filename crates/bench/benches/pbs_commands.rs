@@ -29,6 +29,38 @@ fn bench_qsub(c: &mut Criterion) {
     });
 }
 
+/// One qsub plus one obituary on a server already holding 4000 queued
+/// jobs. The queue depth stays at 4000 across iterations (one job joins,
+/// the finished job's successor leaves), so this is the per-command cost a
+/// replica pays deep into a long history, beside `pbs_qsub_1000`.
+fn bench_qsub_at_depth(c: &mut Criterion) {
+    use jrs_pbs::server::MomReport;
+    c.bench_function("pbs_qsub_at_depth_4000", |b| {
+        let mut s = server(false);
+        let start = |actions: Vec<jrs_pbs::ServerAction>| {
+            actions.into_iter().find_map(|a| match a {
+                jrs_pbs::ServerAction::Start { job, .. } => Some(job),
+                jrs_pbs::ServerAction::Cancel { .. } => None,
+            })
+        };
+        let (_r, a) = s.apply(SimTime::ZERO, &ServerCmd::Qsub(JobSpec::trivial("head")));
+        let mut running = start(a).expect("idle cluster starts the first job");
+        for i in 0..4000 {
+            let _ = s.apply(SimTime::ZERO, &ServerCmd::Qsub(JobSpec::trivial(format!("q{i}"))));
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let spec = JobSpec::trivial(format!("n{i}"));
+            let (_r, a) = s.apply(SimTime::ZERO, &ServerCmd::Qsub(spec));
+            black_box(a.len());
+            let next = s.on_report(SimTime::ZERO, &MomReport::Finished { job: running, exit: 0 });
+            running = start(next).expect("the queue head starts");
+        });
+        assert_eq!(s.count_state(jrs_pbs::JobState::Queued), 4000);
+    });
+}
+
 fn bench_full_lifecycle(c: &mut Criterion) {
     c.bench_function("pbs_lifecycle_200_jobs", |b| {
         b.iter_batched(
@@ -71,5 +103,5 @@ fn bench_snapshot(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_qsub, bench_full_lifecycle, bench_snapshot);
+criterion_group!(benches, bench_qsub, bench_qsub_at_depth, bench_full_lifecycle, bench_snapshot);
 criterion_main!(benches);

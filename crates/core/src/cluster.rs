@@ -102,6 +102,16 @@ impl ClusterConfig {
     }
 }
 
+/// Refuse a time-dependent policy wherever several JOSHUA heads would each
+/// run it: `Backfill` weighs walltimes against the replica-local clock, so
+/// symmetric replicas could start different jobs (DESIGN.md §6).
+fn assert_replication_safe(policy: PolicyKind, heads: usize) {
+    assert!(
+        heads <= 1 || policy != PolicyKind::Backfill,
+        "PolicyKind::Backfill is single-head only, not replication-safe across {heads} JOSHUA heads"
+    );
+}
+
 /// A built cluster.
 pub struct Cluster {
     /// The simulation world.
@@ -128,6 +138,9 @@ impl Cluster {
         let h = cfg.mode.head_count();
         let c = cfg.compute_nodes;
         assert!(h >= 1 && c >= 1);
+        if let HaMode::Joshua { heads } = cfg.mode {
+            assert_replication_safe(cfg.policy, heads);
+        }
 
         // Topology: head nodes first, compute nodes, then a login node.
         let head_nodes: Vec<NodeId> =
@@ -314,6 +327,7 @@ impl Cluster {
         let HaMode::Joshua { .. } = self.cfg.mode else {
             panic!("replacement heads only exist in JOSHUA mode");
         };
+        assert_replication_safe(self.cfg.policy, self.heads.len() + 1);
         let node = self.world.add_node(format!("head-{}", self.head_nodes.len()));
         let contacts = self.heads.clone();
         let all_nodes: Vec<(String, ProcId)> = (0..self.cfg.compute_nodes)

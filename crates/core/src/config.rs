@@ -13,7 +13,8 @@ pub enum PolicyKind {
     /// Space-shared FIFO (deterministic, replication-safe).
     FifoShared,
     /// Conservative backfill (time-dependent: single-head only; see
-    /// DESIGN.md).
+    /// DESIGN.md). `Cluster::build` rejects it for JOSHUA with more than
+    /// one head.
     Backfill,
 }
 

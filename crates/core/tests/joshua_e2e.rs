@@ -5,6 +5,7 @@
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::workload;
+use joshua_core::PolicyKind;
 use jrs_pbs::{CmdReply, JobState, ServerCmd};
 use jrs_sim::{SimDuration, SimTime};
 
@@ -33,6 +34,26 @@ fn two_heads_submit_run_complete() {
     assert_eq!(c.assert_replicas_consistent(), 2);
     for i in 0..2 {
         assert_eq!(c.joshua(i).pbs().count_state(JobState::Complete), 5);
+    }
+}
+
+#[test]
+#[should_panic(expected = "single-head only")]
+fn backfill_is_rejected_on_replicated_heads() {
+    let mut cfg = ClusterConfig::new(HaMode::Joshua { heads: 2 });
+    cfg.policy = PolicyKind::Backfill;
+    let _ = Cluster::build(cfg);
+}
+
+#[test]
+fn backfill_stays_accepted_with_one_scheduler_per_partition() {
+    for mode in [HaMode::SingleHead, HaMode::ActiveStandby, HaMode::Asymmetric { heads: 2 }] {
+        let mut cfg = ClusterConfig::new(mode);
+        cfg.policy = PolicyKind::Backfill;
+        let mut c = Cluster::build(cfg);
+        c.spawn_client(workload::burst(2));
+        c.run_until(secs(60));
+        assert_eq!(c.take_records().len(), 2, "{mode:?}");
     }
 }
 

@@ -19,7 +19,7 @@ use crate::job::{exit, Job, JobId, JobSpec, JobState, JobStatus};
 use crate::resources::NodePool;
 use crate::sched::Policy;
 use jrs_sim::{ProcId, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Commands of the PBS user interface.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -125,9 +125,14 @@ impl ServerSnapshot {
 #[derive(Clone, Debug)]
 pub struct PbsServerCore {
     name: String,
+    /// Every job ever submitted. Ids come from the monotonic `next_id` and
+    /// are never reused, so key order is submission order — the FIFO
+    /// queue order.
     jobs: BTreeMap<JobId, Job>,
-    /// Submission order (defines FIFO queue order).
-    order: Vec<JobId>,
+    /// Exactly the jobs in [`JobState::Queued`], in FIFO order. Derived
+    /// from `jobs` (kept in step by `set_state`, rebuilt by `restore`)
+    /// and never snapshotted or fingerprinted.
+    queue: BTreeSet<JobId>,
     next_id: u64,
     pool: NodePool,
     policy: Box<dyn Policy>,
@@ -144,7 +149,7 @@ impl PbsServerCore {
         PbsServerCore {
             name: name.into(),
             jobs: BTreeMap::new(),
-            order: Vec::new(),
+            queue: BTreeSet::new(),
             next_id: 1,
             pool: NodePool::new(nodes),
             policy,
@@ -174,12 +179,15 @@ impl PbsServerCore {
 
     /// All jobs in submission order.
     pub fn jobs_in_order(&self) -> impl Iterator<Item = &Job> {
-        self.order.iter().filter_map(|id| self.jobs.get(id))
+        self.jobs.values()
     }
 
-    /// Count of jobs in a given state.
+    /// Count of jobs in a given state (O(1) for `Queued`).
     pub fn count_state(&self, state: JobState) -> usize {
-        self.jobs.values().filter(|j| j.state == state).count()
+        match state {
+            JobState::Queued => self.queue.len(),
+            _ => self.jobs.values().filter(|j| j.state == state).count(),
+        }
     }
 
     /// Apply one PBS command; returns the user-visible reply and the mom
@@ -190,7 +198,7 @@ impl PbsServerCore {
                 let id = JobId(self.next_id);
                 self.next_id += 1;
                 self.jobs.insert(id, Job::queued(id, spec.clone()));
-                self.order.push(id);
+                self.queue.insert(id);
                 let actions = self.schedule(now);
                 (CmdReply::Submitted(id), actions)
             }
@@ -198,12 +206,12 @@ impl PbsServerCore {
                 None => (CmdReply::Error(format!("unknown job {id}")), vec![]),
                 Some(job) => match job.state {
                     JobState::Queued | JobState::Held => {
-                        job.state = JobState::Complete;
+                        set_state(&mut self.queue, job, JobState::Complete);
                         job.exit_status = Some(exit::CANCELLED);
                         (CmdReply::Deleted(*id), self.schedule(now))
                     }
                     JobState::Running => {
-                        job.state = JobState::Exiting;
+                        set_state(&mut self.queue, job, JobState::Exiting);
                         let mom = job
                             .allocated
                             .first()
@@ -228,7 +236,7 @@ impl PbsServerCore {
             }
             ServerCmd::Qhold(id) => match self.jobs.get_mut(id) {
                 Some(job) if job.state == JobState::Queued => {
-                    job.state = JobState::Held;
+                    set_state(&mut self.queue, job, JobState::Held);
                     (CmdReply::Held(*id), vec![])
                 }
                 Some(job) => (
@@ -242,7 +250,7 @@ impl PbsServerCore {
             },
             ServerCmd::Qrls(id) => match self.jobs.get_mut(id) {
                 Some(job) if job.state == JobState::Held => {
-                    job.state = JobState::Queued;
+                    set_state(&mut self.queue, job, JobState::Queued);
                     (CmdReply::Released(*id), self.schedule(now))
                 }
                 Some(job) => (
@@ -274,7 +282,7 @@ impl PbsServerCore {
                     // waits for its fresh run.
                     return vec![];
                 }
-                j.state = JobState::Complete;
+                set_state(&mut self.queue, j, JobState::Complete);
                 j.exit_status = Some(*exit);
                 let nodes = std::mem::take(&mut j.allocated);
                 self.pool.release(&nodes);
@@ -292,21 +300,15 @@ impl PbsServerCore {
     pub fn requeue_all_running(&mut self, now: SimTime) -> (Vec<JobId>, Vec<ServerAction>) {
         let mut requeued = Vec::new();
         let mut actions = Vec::new();
-        let running_ids: Vec<JobId> = self
-            .jobs
-            .values()
-            .filter(|j| matches!(j.state, JobState::Running | JobState::Exiting))
-            .map(|j| j.id)
-            .collect();
-        for id in running_ids {
-            // The id was collected from `jobs` above, but degrade rather
-            // than panic on the delivery path if that ever changes (F003).
+        // `running_since` is keyed by exactly the Running and Exiting jobs.
+        for id in std::mem::take(&mut self.running_since).into_keys() {
+            // Degrade rather than panic on the delivery path should a start
+            // time ever outlive its job (F003).
             let Some(j) = self.jobs.get_mut(&id) else { continue };
             let nodes = std::mem::take(&mut j.allocated);
-            j.state = JobState::Queued;
+            set_state(&mut self.queue, j, JobState::Queued);
             let mom = nodes.first().and_then(|n| self.pool.mom_of(n));
             self.pool.release(&nodes);
-            self.running_since.remove(&id);
             actions.push(ServerAction::Cancel { mom, job: id });
             requeued.push(id);
         }
@@ -334,23 +336,14 @@ impl PbsServerCore {
 
     fn schedule(&mut self, now: SimTime) -> Vec<ServerAction> {
         let mut actions = Vec::new();
-        loop {
-            let queued_ids: Vec<JobId> = self
-                .order
-                .iter()
-                .copied()
-                .filter(|id| self.jobs[id].state == JobState::Queued)
-                .collect();
-            if queued_ids.is_empty() {
-                break;
-            }
-            let queued: Vec<&Job> = queued_ids.iter().map(|id| &self.jobs[id]).collect();
+        while !self.queue.is_empty() {
+            let mut queued = self.queue.iter().filter_map(|id| self.jobs.get(id));
             let running: Vec<(&Job, SimTime)> = self
                 .running_since
                 .iter()
                 .filter_map(|(id, t)| self.jobs.get(id).map(|j| (j, *t)))
                 .collect();
-            let Some(alloc) = self.policy.select(now, &queued, &self.pool, &running) else {
+            let Some(alloc) = self.policy.select(now, &mut queued, &self.pool, &running) else {
                 break;
             };
             // Check the job before committing the allocation: a policy
@@ -358,7 +351,7 @@ impl PbsServerCore {
             // replica mid-delivery (F003).
             let Some(job) = self.jobs.get_mut(&alloc.job) else { break };
             self.pool.allocate(&alloc.nodes);
-            job.state = JobState::Running;
+            set_state(&mut self.queue, job, JobState::Running);
             job.allocated = alloc.nodes.clone();
             self.running_since.insert(alloc.job, now);
             let mom = alloc.nodes.first().and_then(|n| self.pool.mom_of(n));
@@ -407,7 +400,8 @@ impl PbsServerCore {
     /// Restore state from a snapshot (joining replica).
     pub fn restore(&mut self, snap: &ServerSnapshot) {
         self.jobs = snap.jobs.iter().map(|j| (j.id, j.clone())).collect();
-        self.order = snap.jobs.iter().map(|j| j.id).collect();
+        self.queue =
+            self.jobs.values().filter(|j| j.state == JobState::Queued).map(|j| j.id).collect();
         self.next_id = snap.next_id;
         // Keep our own mom registrations but adopt allocation states.
         let moms: Vec<(String, ProcId)> = self
@@ -425,6 +419,17 @@ impl PbsServerCore {
             .map(|(id, ns)| (*id, SimTime::from_nanos(*ns)))
             .collect();
     }
+}
+
+/// The one place a job changes state: keeps the queued-job index in step,
+/// so no transition can forget it.
+fn set_state(queue: &mut BTreeSet<JobId>, job: &mut Job, state: JobState) {
+    if state == JobState::Queued {
+        queue.insert(job.id);
+    } else {
+        queue.remove(&job.id);
+    }
+    job.state = state;
 }
 
 #[cfg(test)]
@@ -667,6 +672,42 @@ mod tests {
         assert_eq!(s.count_state(JobState::Running), 2);
         let (_, a3) = s.apply(T0, &ServerCmd::Qsub(mk("c")));
         assert!(a3.is_empty(), "cluster full");
+    }
+
+    #[test]
+    fn requeue_all_running_covers_exiting_jobs() {
+        let mut s = PbsServerCore::new(
+            "head",
+            (0..2).map(|i| format!("c{i:02}")),
+            Box::new(FifoShared),
+        );
+        s.register_mom("c00", ProcId(10));
+        s.register_mom("c01", ProcId(11));
+        let (running, _) = submit(&mut s, "running");
+        let (exiting, _) = submit(&mut s, "exiting");
+        let (_, cancel) = s.apply(T0, &ServerCmd::Qdel(exiting));
+        assert_eq!(cancel, vec![ServerAction::Cancel { mom: Some(ProcId(11)), job: exiting }]);
+        assert_eq!(s.job(exiting).unwrap().state, JobState::Exiting);
+        let (requeued, actions) = s.requeue_all_running(T0);
+        assert_eq!(requeued, vec![running, exiting], "Exiting is requeued like Running");
+        assert_eq!(
+            actions[..2],
+            [
+                ServerAction::Cancel { mom: Some(ProcId(10)), job: running },
+                ServerAction::Cancel { mom: Some(ProcId(11)), job: exiting },
+            ]
+        );
+        // Both restart, in FIFO order, on the freed nodes.
+        let restarted: Vec<JobId> = actions[2..]
+            .iter()
+            .map(|a| match a {
+                ServerAction::Start { job, .. } => *job,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(restarted, vec![running, exiting]);
+        assert_eq!(s.count_state(JobState::Running), 2);
+        assert_eq!(s.count_state(JobState::Queued), 0);
     }
 
     #[test]

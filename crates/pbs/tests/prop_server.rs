@@ -3,8 +3,8 @@
 
 use jrs_pbs::server::MomReport;
 use jrs_pbs::{
-    FifoExclusive, FifoShared, JobId, JobSpec, JobState, PbsServerCore, Policy, ServerAction,
-    ServerCmd,
+    Allocation, FifoExclusive, FifoShared, Job, JobId, JobSpec, JobState, PbsServerCore, Policy,
+    ServerAction, ServerCmd,
 };
 use jrs_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -38,71 +38,58 @@ fn mk_server(shared: bool, nodes: usize) -> PbsServerCore {
     PbsServerCore::new("prop", (0..nodes).map(|i| format!("c{i:02}")), policy)
 }
 
-/// Drive a server with the inputs, tracking the set of start-dispatched
-/// jobs so Finish targets real jobs. Returns actions count (for replica
-/// comparison).
-fn drive(server: &mut PbsServerCore, inputs: &[Input], now: SimTime) -> Vec<usize> {
-    let mut submitted = 0u64;
-    let mut running: BTreeSet<JobId> = BTreeSet::new();
-    let mut action_counts = Vec::new();
-    for inp in inputs {
+/// Replays inputs against a server, tracking the submitted ids and the
+/// start-dispatched jobs so Qdel/Qhold/Qrls and Finish target real jobs.
+#[derive(Clone, Debug, Default)]
+struct Driver {
+    submitted: u64,
+    running: BTreeSet<JobId>,
+}
+
+impl Driver {
+    /// Apply one input; returns every action it triggered, including those
+    /// of the moms' immediate cancel confirmations.
+    fn step(&mut self, server: &mut PbsServerCore, inp: &Input, now: SimTime) -> Vec<ServerAction> {
+        let target = |k: &u8| JobId(1 + (*k as u64 % self.submitted));
         let actions = match inp {
             Input::Qsub { nodes, runtime_s } => {
-                submitted += 1;
+                self.submitted += 1;
                 let mut spec = JobSpec::with_runtime(
-                    format!("p{submitted}"),
+                    format!("p{}", self.submitted),
                     SimDuration::from_secs(*runtime_s as u64),
                 );
                 spec.nodes = *nodes as u32;
-                let (_r, a) = server.apply(now, &ServerCmd::Qsub(spec));
-                a
+                server.apply(now, &ServerCmd::Qsub(spec)).1
             }
-            Input::Qdel(k) if submitted > 0 => {
-                let id = JobId(1 + (*k as u64 % submitted));
-                let (_r, a) = server.apply(now, &ServerCmd::Qdel(id));
-                a
+            Input::Qdel(k) if self.submitted > 0 => {
+                server.apply(now, &ServerCmd::Qdel(target(k))).1
             }
-            Input::Qhold(k) if submitted > 0 => {
-                let id = JobId(1 + (*k as u64 % submitted));
-                let (_r, a) = server.apply(now, &ServerCmd::Qhold(id));
-                a
+            Input::Qhold(k) if self.submitted > 0 => {
+                server.apply(now, &ServerCmd::Qhold(target(k))).1
             }
-            Input::Qrls(k) if submitted > 0 => {
-                let id = JobId(1 + (*k as u64 % submitted));
-                let (_r, a) = server.apply(now, &ServerCmd::Qrls(id));
-                a
+            Input::Qrls(k) if self.submitted > 0 => {
+                server.apply(now, &ServerCmd::Qrls(target(k))).1
             }
-            Input::Qstat => {
-                let (_r, a) = server.apply(now, &ServerCmd::Qstat(None));
-                a
-            }
-            Input::Finish(k) => {
-                if running.is_empty() {
-                    action_counts.push(0);
-                    continue;
-                }
-                let ids: Vec<JobId> = running.iter().copied().collect();
-                let id = ids[*k as usize % ids.len()];
-                running.remove(&id);
+            Input::Qstat => server.apply(now, &ServerCmd::Qstat(None)).1,
+            Input::Finish(k) if !self.running.is_empty() => {
+                let id = *self.running.iter().nth(*k as usize % self.running.len()).unwrap();
+                self.running.remove(&id);
                 server.on_report(now, &MomReport::Finished { job: id, exit: 0 })
             }
-            _ => {
-                action_counts.push(0);
-                continue;
-            }
+            _ => return Vec::new(),
         };
         for a in &actions {
             if let ServerAction::Start { job, .. } = a {
-                running.insert(*job);
+                self.running.insert(*job);
             }
             if let ServerAction::Cancel { job, .. } = a {
                 // Simulate the mom confirming the cancel immediately.
-                running.remove(job);
+                self.running.remove(job);
             }
         }
         // Feed cancel confirmations back (moms are immediate here).
-        let mut extra = 0;
-        for a in actions.iter() {
+        let mut all = actions.clone();
+        for a in &actions {
             if let ServerAction::Cancel { job, .. } = a {
                 let more = server.on_report(
                     now,
@@ -110,15 +97,49 @@ fn drive(server: &mut PbsServerCore, inputs: &[Input], now: SimTime) -> Vec<usiz
                 );
                 for m in &more {
                     if let ServerAction::Start { job, .. } = m {
-                        running.insert(*job);
+                        self.running.insert(*job);
                     }
                 }
-                extra += more.len();
+                all.extend(more);
             }
         }
-        action_counts.push(actions.len() + extra);
+        all
     }
-    action_counts
+}
+
+/// Drive a server with the inputs; returns the action count per input
+/// (for replica comparison).
+fn drive(server: &mut PbsServerCore, inputs: &[Input], now: SimTime) -> Vec<usize> {
+    let mut d = Driver::default();
+    inputs.iter().map(|inp| d.step(server, inp, now).len()).collect()
+}
+
+/// Check the queued-job index against a brute-force scan of the whole
+/// history: the queued count, and that the next job the server would
+/// start is the one the policy admits from the scanned queue.
+fn assert_index_matches_scan(
+    s: &PbsServerCore,
+    policy: &dyn Policy,
+    now: SimTime,
+) -> Result<(), TestCaseError> {
+    let scanned: Vec<&Job> = s.jobs_in_order().filter(|j| j.state == JobState::Queued).collect();
+    prop_assert_eq!(s.count_state(JobState::Queued), scanned.len());
+    let running: Vec<(&Job, SimTime)> = s
+        .jobs_in_order()
+        .filter(|j| matches!(j.state, JobState::Running | JobState::Exiting))
+        .map(|j| (j, now))
+        .collect();
+    let admitted = policy.select(now, &mut scanned.iter().copied(), s.pool(), &running);
+    let next_start = s.clone().kick_schedule(now).into_iter().find_map(|a| match a {
+        ServerAction::Start { job, nodes, .. } => Some(Allocation { job, nodes }),
+        ServerAction::Cancel { .. } => None,
+    });
+    if let Some(alloc) = &next_start {
+        // FIFO never overtakes: what starts next is the scanned head.
+        prop_assert_eq!(Some(alloc.job), scanned.first().map(|j| j.id));
+    }
+    prop_assert_eq!(next_start, admitted);
+    Ok(())
 }
 
 proptest! {
@@ -215,6 +236,40 @@ proptest! {
         let cb = drive(&mut restored, &inputs[cut..], SimTime::ZERO);
         prop_assert_eq!(ca, cb);
         prop_assert!(s.snapshot().consistent_with(&restored.snapshot()));
+    }
+
+    /// The queued-job index never drifts from the history it summarises:
+    /// after every input the queued count and the next start agree with a
+    /// brute-force scan, and a replica restored from a mid-sequence
+    /// snapshot rebuilds the index and continues with identical actions.
+    #[test]
+    fn queued_index_matches_history_scan(
+        inputs in prop::collection::vec(input_strategy(), 1..80),
+        cut in 0usize..80,
+        shared in any::<bool>(),
+    ) {
+        let policy: Box<dyn Policy> =
+            if shared { Box::new(FifoShared) } else { Box::new(FifoExclusive) };
+        let now = SimTime::ZERO;
+        let cut = cut.min(inputs.len());
+        let mut s = mk_server(shared, 4);
+        let mut d = Driver::default();
+        for inp in &inputs[..cut] {
+            let _ = d.step(&mut s, inp, now);
+            assert_index_matches_scan(&s, policy.as_ref(), now)?;
+        }
+        let mut restored = mk_server(shared, 4);
+        restored.restore(&s.snapshot());
+        assert_index_matches_scan(&restored, policy.as_ref(), now)?;
+        let mut rd = d.clone();
+        for inp in &inputs[cut..] {
+            let a = d.step(&mut s, inp, now);
+            let b = rd.step(&mut restored, inp, now);
+            prop_assert_eq!(a, b, "restored replica diverged");
+            assert_index_matches_scan(&s, policy.as_ref(), now)?;
+            assert_index_matches_scan(&restored, policy.as_ref(), now)?;
+        }
+        prop_assert_eq!(s.state_hash(), restored.state_hash());
     }
 
     /// Terminal-state hygiene: complete jobs always carry an exit status,
