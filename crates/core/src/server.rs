@@ -150,6 +150,10 @@ pub struct JoshuaServer {
     witness: BTreeMap<u64, Payload>,
     next_tag: u64,
     stats: JoshuaStats,
+    /// Emptied group-output buffers kept for reuse. A pool rather than one
+    /// buffer because `flush_gcs` re-enters itself (a delivered payload is
+    /// applied, which may broadcast, which flushes again).
+    gcs_pool: Vec<GcsOutput<Payload>>,
 }
 
 impl JoshuaServer {
@@ -193,6 +197,7 @@ impl JoshuaServer {
             witness: BTreeMap::new(),
             next_tag: 1,
             stats: JoshuaStats::default(),
+            gcs_pool: Vec::new(),
         }
     }
 
@@ -291,11 +296,11 @@ impl JoshuaServer {
     /// daemon processing cost, stability acknowledgements pay the (slower,
     /// timer-batched) ack-path cost, and background datagrams / bare link
     /// acks are nearly free. Calibration table in EXPERIMENTS.md.
-    fn flush_gcs(&mut self, ctx: &mut Ctx<'_>, out: GcsOutput<Payload>) {
+    fn flush_gcs(&mut self, ctx: &mut Ctx<'_>, mut out: GcsOutput<Payload>) {
         use jrs_gcs::{EngineMsg, GcsMsg};
         let mut busy = SimDuration::ZERO;
         let cost = &self.config.cost;
-        for (to, frame, bytes) in out.wire {
+        for (to, frame, bytes) in out.wire.drain(..) {
             // Exhaustive over the wire protocol: a new frame kind must be
             // assigned a CPU cost here, not silently inherit one (F004).
             busy += match &frame {
@@ -334,7 +339,7 @@ impl JoshuaServer {
             };
             ctx.send_sized_after(to, frame, bytes, busy);
         }
-        for ev in out.events {
+        for ev in out.events.drain(..) {
             self.on_gcs_event(ctx, ev);
         }
         // Persist the group incarnation whenever it advances, so a future
@@ -347,10 +352,17 @@ impl JoshuaServer {
             }
             self.persisted_incarnation = inc;
         }
+        self.gcs_pool.push(out);
+    }
+
+    /// An empty group-output buffer, reusing a drained one when available.
+    fn gcs_sink(&mut self) -> GcsOutput<Payload> {
+        self.gcs_pool.pop().unwrap_or_default()
     }
 
     fn broadcast(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-        let out = self.group.broadcast(ctx.now(), payload);
+        let mut out = self.gcs_sink();
+        self.group.broadcast_into(ctx.now(), payload, &mut out);
         self.flush_gcs(ctx, out);
     }
 
@@ -1053,8 +1065,8 @@ impl Process for JoshuaServer {
         // Err arm hands the box back) instead of check-then-expect (F003).
         let msg = match msg.downcast::<Wire<Payload>>() {
             Ok(frame) => {
-                let now = ctx.now();
-                let out = self.group.on_wire(now, from, *frame);
+                let mut out = self.gcs_sink();
+                self.group.on_wire_into(ctx.now(), from, *frame, &mut out);
                 self.flush_gcs(ctx, out);
                 return;
             }
@@ -1117,7 +1129,8 @@ impl Process for JoshuaServer {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, tag: u64) {
         if tag == 0 {
-            let out = self.group.tick(ctx.now());
+            let mut out = self.gcs_sink();
+            self.group.tick_into(ctx.now(), &mut out);
             self.flush_gcs(ctx, out);
             let tick = self.config.group.tick_every;
             ctx.set_timer(tick, 0);

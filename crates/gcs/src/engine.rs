@@ -277,8 +277,28 @@ impl<P: Clone> Core<P> {
         self.active = true;
     }
 
+    /// Drop log entries at or below `stable_up_to`, in place: a tick
+    /// usually prunes nothing or a few entries off the front.
     fn prune(&mut self, stable_up_to: u64) {
-        self.log = self.log.split_off(&(stable_up_to + 1));
+        while let Some(entry) = self.log.first_entry() {
+            if *entry.key() > stable_up_to {
+                break;
+            }
+            entry.remove();
+        }
+    }
+
+    /// The first own pending submission with a local id above `after`
+    /// that no sequencer has assigned yet. `pending` is in ascending
+    /// local-id order, so callers resubmit by walking it with this
+    /// without copying it, and a delivery during the walk (which removes
+    /// its entry) cannot derail them.
+    fn next_unassigned_pending(&self, after: u64) -> Option<(u64, &P)> {
+        let start = self.pending.partition_point(|&(l, _)| l <= after);
+        self.pending
+            .range(start..)
+            .find(|&&(l, _)| !self.is_assigned(self.me, l))
+            .map(|(l, p)| (*l, p))
     }
 
     /// Emit stability traffic for an advanced received prefix: followers
@@ -535,11 +555,7 @@ impl<P: Clone> Engine<P> {
                     && now.since(e.last_request) >= e.retry_every
                 {
                     e.last_request = now;
-                    for (local_id, payload) in e.core.pending.clone() {
-                        if !e.core.is_assigned(e.core.me, local_id) {
-                            out.merge(e.order_or_request(local_id, payload));
-                        }
-                    }
+                    e.resubmit_pending(&mut out);
                 }
                 out
             }
@@ -578,11 +594,7 @@ impl<P: Clone> Engine<P> {
                     // so followers waiting on `Stable` are not stranded.
                     e.stable_dirty = true;
                 }
-                for (local_id, payload) in e.core.pending.clone() {
-                    if !e.core.is_assigned(e.core.me, local_id) {
-                        out.merge(e.order_or_request(local_id, payload));
-                    }
-                }
+                e.resubmit_pending(&mut out);
             }
             Engine::Token(e) => {
                 out.merge(e.order_if_holding(now));
@@ -631,11 +643,7 @@ impl<P: Clone> Engine<P> {
                 e.waiting.clear();
                 // Resubmit pendings (duplicates are filtered by the
                 // sequencer's assign floor).
-                for (local_id, payload) in e.core.pending.clone() {
-                    if !e.core.is_assigned(e.core.me, local_id) {
-                        out.merge(e.order_or_request(local_id, payload));
-                    }
-                }
+                e.resubmit_pending(&mut out);
             }
             Engine::Token(e) => {
                 e.floor = e.floor.max(next_seq);
@@ -692,6 +700,17 @@ impl<P: Clone> SeqEngine<P> {
     /// (submissions stay pending until one happens).
     fn sequencer(&self) -> Option<ProcId> {
         self.core.members.first().copied()
+    }
+
+    /// Order (as sequencer) or re-request every own pending submission
+    /// not yet assigned, in local-id order.
+    fn resubmit_pending(&mut self, out: &mut EngineOut<P>) {
+        let mut after = 0;
+        while let Some((local_id, payload)) = self.core.next_unassigned_pending(after) {
+            after = local_id;
+            let payload = payload.clone();
+            out.merge(self.order_or_request(local_id, payload));
+        }
     }
 
     fn order_or_request(&mut self, local_id: u64, payload: P) -> EngineOut<P> {
@@ -811,10 +830,10 @@ impl<P: Clone> TokenEngine<P> {
             return EngineOut::default();
         }
         let mut out = EngineOut::default();
-        for (local_id, payload) in self.core.pending.clone() {
-            if self.core.is_assigned(self.core.me, local_id) {
-                continue;
-            }
+        let mut after = 0;
+        while let Some((local_id, payload)) = self.core.next_unassigned_pending(after) {
+            after = local_id;
+            let payload = payload.clone();
             self.core.note_assigned(self.core.me, local_id);
             let m = OrderedMsg {
                 seq: next_seq,
@@ -1024,6 +1043,53 @@ mod tests {
         let out = e.install(T0, vec![p(1)], 1, &[], true);
         assert_eq!(out.deliver.len(), 1);
         assert_eq!(e.pending_count(), 0);
+    }
+
+    #[test]
+    fn resubmission_walks_every_pending_in_local_id_order() {
+        /// `local_id`s of the `Request` sends.
+        fn requests(out: &EngineOut<&'static str>) -> Vec<u64> {
+            out.sends
+                .iter()
+                .filter_map(|(_, m)| match m {
+                    EngineMsg::Request { local_id, .. } => Some(*local_id),
+                    _ => None,
+                })
+                .collect()
+        }
+        // A follower re-requests all of its pendings on install, on resume
+        // and on the retry tick.
+        let mut f = installed(EngineKind::Sequencer, 2, &[1, 2]);
+        f.halt();
+        for s in ["a", "b", "c"] {
+            let _ = f.submit(T0, s);
+        }
+        assert_eq!(requests(&f.resume(T0)), vec![1, 2, 3]);
+        f.halt();
+        assert_eq!(requests(&f.install(T0, vec![p(1), p(2)], 1, &[], false)), vec![1, 2, 3]);
+        let retry = T0 + SimDuration::from_millis(100);
+        assert_eq!(requests(&f.tick(retry)), vec![1, 2, 3]);
+        // A sole sequencer delivers each resubmission at once, which
+        // removes it from the queue being walked; every one still goes
+        // through, in order.
+        let mut e = installed(EngineKind::Sequencer, 1, &[1]);
+        e.halt();
+        for s in ["a", "b", "c"] {
+            let _ = e.submit(T0, s);
+        }
+        let out = e.install(T0, vec![p(1)], 1, &[], true);
+        let got: Vec<(u64, &str)> = out.deliver.iter().map(|m| (m.local_id, m.payload)).collect();
+        assert_eq!(got, vec![(1, "a"), (2, "b"), (3, "c")]);
+        assert_eq!(e.pending_count(), 0);
+        // Same for a sole token holder.
+        let mut t = installed(EngineKind::Token, 1, &[1]);
+        t.halt();
+        for s in ["a", "b", "c"] {
+            let _ = t.submit(T0, s);
+        }
+        let out = t.resume(T0);
+        let got: Vec<(u64, &str)> = out.deliver.iter().map(|m| (m.local_id, m.payload)).collect();
+        assert_eq!(got, vec![(1, "a"), (2, "b"), (3, "c")]);
     }
 
     #[test]

@@ -177,6 +177,9 @@ pub struct GroupMember<P> {
     behind_since: Option<SimTime>,
     incarnation: u64,
     stats: GroupStats,
+    /// Reused buffer for link-layer deliveries of one incoming frame;
+    /// empty between calls (not protocol state).
+    inbox: Vec<GcsMsg<P>>,
 }
 
 impl<P: Clone + 'static> GroupMember<P> {
@@ -225,6 +228,7 @@ impl<P: Clone + 'static> GroupMember<P> {
             behind_since: None,
             incarnation: 1,
             stats: GroupStats::default(),
+            inbox: Vec::new(),
         }
     }
 
@@ -370,10 +374,15 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// resubmitted automatically after the next install.
     pub fn broadcast(&mut self, now: SimTime, payload: P) -> Output<P> {
         let mut out = Output::default();
+        self.broadcast_into(now, payload, &mut out);
+        out
+    }
+
+    /// [`Self::broadcast`] into a caller-owned sink: appends to `out`.
+    pub fn broadcast_into(&mut self, now: SimTime, payload: P, out: &mut Output<P>) {
         self.stats.broadcasts += 1;
         let eo = self.engine.submit(now, payload);
-        self.absorb_engine(now, eo, &mut out);
-        out
+        self.absorb_engine(now, eo, out);
     }
 
     /// Announce a voluntary leave. The paper's JOSHUA handles leaves as
@@ -381,9 +390,10 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// `tick` (and typically exits).
     pub fn leave(&mut self, _now: SimTime) -> Output<P> {
         let mut out = Output::default();
-        let peers: Vec<ProcId> = self.view.members.iter().copied().filter(|&p| p != self.me).collect();
-        for p in peers {
-            self.push_raw(p, GcsMsg::Leave, &mut out);
+        for &p in &self.view.members {
+            if p != self.me {
+                self.push_raw(p, GcsMsg::Leave, &mut out);
+            }
         }
         out
     }
@@ -391,44 +401,62 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// Periodic maintenance; call every `config.tick_every`.
     pub fn tick(&mut self, now: SimTime) -> Output<P> {
         let mut out = Output::default();
-        for (to, frame) in self.links.tick(now) {
-            let bytes = frame.wire_size(self.config.payload_bytes);
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    /// [`Self::tick`] into a caller-owned sink: appends to `out`.
+    pub fn tick_into(&mut self, now: SimTime, out: &mut Output<P>) {
+        let payload_bytes = self.config.payload_bytes;
+        self.links.tick_each(now, |to, frame| {
+            let bytes = frame.wire_size(payload_bytes);
             out.wire.push((to, frame, bytes));
-        }
+        });
         match &self.role {
             Role::Joining { last_req, .. } => {
                 let due = last_req.is_none_or(|t| now.since(t) >= self.config.flush_timeout);
                 if due {
-                    self.send_join_req(now, &mut out);
+                    self.send_join_req(now, out);
                 }
             }
             Role::Member => {
-                self.member_tick(now, &mut out);
+                self.member_tick(now, out);
             }
         }
-        out
     }
 
     /// Feed one received frame.
     pub fn on_wire(&mut self, now: SimTime, from: ProcId, frame: Wire<P>) -> Output<P> {
         let mut out = Output::default();
+        self.on_wire_into(now, from, frame, &mut out);
+        out
+    }
+
+    /// [`Self::on_wire`] into a caller-owned sink: appends to `out`.
+    pub fn on_wire_into(
+        &mut self,
+        now: SimTime,
+        from: ProcId,
+        frame: Wire<P>,
+        out: &mut Output<P>,
+    ) {
         self.detector.heard(from, now);
-        let inbound = self.links.on_wire(now, from, frame);
-        if let Some(reply) = inbound.reply {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        if let Some(reply) = self.links.on_wire_into(now, from, frame, &mut inbox) {
             let bytes = reply.wire_size(self.config.payload_bytes);
             out.wire.push((from, reply, bytes));
         }
-        for msg in inbound.deliver {
-            self.handle_msg(now, from, msg, &mut out);
+        for msg in inbox.drain(..) {
+            self.handle_msg(now, from, msg, out);
         }
-        out
+        self.inbox = inbox;
     }
 
     // ------------------------------------------------------------------
     // Internals: send helpers
     // ------------------------------------------------------------------
 
-    fn push_raw(&mut self, to: ProcId, msg: GcsMsg<P>, out: &mut Output<P>) {
+    fn push_raw(&self, to: ProcId, msg: GcsMsg<P>, out: &mut Output<P>) {
         let frame = Wire::Raw(msg);
         let bytes = frame.wire_size(self.config.payload_bytes);
         out.wire.push((to, frame, bytes));
@@ -462,10 +490,10 @@ impl<P: Clone + 'static> GroupMember<P> {
             view_size: size32(self.view.len()),
             delivered_up_to: self.engine.delivered_up_to(),
         };
-        let peers: Vec<ProcId> =
-            self.view.members.iter().copied().filter(|&p| p != self.me).collect();
-        for p in peers {
-            self.push_raw(p, hb.clone(), out);
+        for &p in &self.view.members {
+            if p != self.me {
+                self.push_raw(p, hb.clone(), out);
+            }
         }
     }
 
@@ -508,7 +536,7 @@ impl<P: Clone + 'static> GroupMember<P> {
                 view_size: size32(self.view.len()),
                 delivered_up_to: self.engine.delivered_up_to(),
             };
-            for p in self.former_members.clone() {
+            for &p in &self.former_members {
                 self.push_raw(p, hb.clone(), out);
             }
         }

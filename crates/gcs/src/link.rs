@@ -9,18 +9,20 @@
 
 use crate::msg::{GcsMsg, Wire};
 use jrs_sim::{ProcId, SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 #[derive(Clone, Debug, Hash)]
 struct OutLink<P> {
     next_seq: u64,
-    /// seq → (message, last transmission time).
-    unacked: BTreeMap<u64, (GcsMsg<P>, SimTime)>,
+    /// `(seq, message, last transmission time)` in ascending `seq`: sends
+    /// append at the back and cumulative acks pop from the front, so the
+    /// retransmission window never rebuilds a tree.
+    unacked: VecDeque<(u64, GcsMsg<P>, SimTime)>,
 }
 
 impl<P> Default for OutLink<P> {
     fn default() -> Self {
-        OutLink { next_seq: 1, unacked: BTreeMap::new() }
+        OutLink { next_seq: 1, unacked: VecDeque::new() }
     }
 }
 
@@ -28,7 +30,8 @@ impl<P> Default for OutLink<P> {
 struct InLink<P> {
     /// Everything up to here has been delivered up the stack.
     cum: u64,
-    /// Out-of-order holding buffer.
+    /// Out-of-order holding buffer. Only touched when a gap opens: an
+    /// in-order frame is delivered straight through.
     buffer: BTreeMap<u64, GcsMsg<P>>,
 }
 
@@ -76,7 +79,7 @@ impl<P: Clone> LinkManager<P> {
         let link = self.out.entry(peer).or_default();
         let seq = link.next_seq;
         link.next_seq += 1;
-        link.unacked.insert(seq, (msg.clone(), now));
+        link.unacked.push_back((seq, msg.clone(), now));
         Wire::Data { seq, msg }
     }
 
@@ -85,27 +88,50 @@ impl<P: Clone> LinkManager<P> {
     /// `Raw` frames pass straight through; `Data` frames are sequenced and
     /// delivered in order (duplicates dropped, gaps buffered); `Ack` frames
     /// clear the retransmission buffer.
-    pub fn on_wire(&mut self, _now: SimTime, peer: ProcId, wire: Wire<P>) -> Inbound<P> {
+    pub fn on_wire(&mut self, now: SimTime, peer: ProcId, wire: Wire<P>) -> Inbound<P> {
+        let mut deliver = Vec::new();
+        let reply = self.on_wire_into(now, peer, wire, &mut deliver);
+        Inbound { deliver, reply }
+    }
+
+    /// [`Self::on_wire`] into a caller-owned buffer: appends the messages
+    /// now deliverable to `deliver` and returns the ack to send back.
+    pub fn on_wire_into(
+        &mut self,
+        _now: SimTime,
+        peer: ProcId,
+        wire: Wire<P>,
+        deliver: &mut Vec<GcsMsg<P>>,
+    ) -> Option<Wire<P>> {
         match wire {
-            Wire::Raw(msg) => Inbound { deliver: vec![msg], reply: None },
+            Wire::Raw(msg) => {
+                deliver.push(msg);
+                None
+            }
             Wire::Data { seq, msg } => {
                 let link = self.inc.entry(peer).or_default();
-                if seq > link.cum {
+                if seq == link.cum + 1 {
+                    // The buffer never holds `cum + 1` between frames (it
+                    // would have been drained), so the next frame in order
+                    // bypasses it.
+                    link.cum = seq;
+                    deliver.push(msg);
+                } else if seq > link.cum {
                     link.buffer.entry(seq).or_insert(msg);
                 }
-                let mut deliver = Vec::new();
                 while let Some(m) = link.buffer.remove(&(link.cum + 1)) {
                     link.cum += 1;
                     deliver.push(m);
                 }
-                let cum = link.cum;
-                Inbound { deliver, reply: Some(Wire::Ack { cum }) }
+                Some(Wire::Ack { cum: link.cum })
             }
             Wire::Ack { cum } => {
                 if let Some(link) = self.out.get_mut(&peer) {
-                    link.unacked.retain(|&s, _| s > cum);
+                    while link.unacked.front().is_some_and(|&(s, _, _)| s <= cum) {
+                        link.unacked.pop_front();
+                    }
                 }
-                Inbound { deliver: vec![], reply: None }
+                None
             }
         }
     }
@@ -114,16 +140,23 @@ impl<P: Clone> LinkManager<P> {
     /// RTO). Marks them as retransmitted at `now`.
     pub fn tick(&mut self, now: SimTime) -> Vec<(ProcId, Wire<P>)> {
         let mut resend = Vec::new();
+        self.tick_each(now, |peer, frame| resend.push((peer, frame)));
+        resend
+    }
+
+    /// [`Self::tick`] without the collection: hands each retransmission to
+    /// `emit`, peers in ascending id order and each peer's frames in
+    /// ascending sequence order.
+    pub fn tick_each(&mut self, now: SimTime, mut emit: impl FnMut(ProcId, Wire<P>)) {
         for (&peer, link) in self.out.iter_mut() {
-            for (&seq, (msg, last)) in link.unacked.iter_mut() {
+            for (seq, msg, last) in link.unacked.iter_mut() {
                 if now.since(*last) >= self.rto {
                     *last = now;
                     self.retransmissions += 1;
-                    resend.push((peer, Wire::Data { seq, msg: msg.clone() }));
+                    emit(peer, Wire::Data { seq: *seq, msg: msg.clone() });
                 }
             }
         }
-        resend
     }
 
     /// Forget all state for a peer (it left or was ejected); a future
@@ -275,6 +308,131 @@ mod tests {
         }
         let r = rx.on_wire(T0, A, w);
         assert_eq!(r.deliver.len(), 1);
+    }
+
+    const B: ProcId = ProcId(2);
+
+    /// Sequence numbers of `Data` frames, in order.
+    fn seqs<'a>(frames: impl IntoIterator<Item = &'a Wire<u32>>) -> Vec<u64> {
+        frames
+            .into_iter()
+            .map(|w| match w {
+                Wire::Data { seq, .. } => *seq,
+                _ => panic!("not a data frame"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cumulative_ack_mid_window_keeps_the_tail() {
+        let mut tx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        for v in 1..=5 {
+            let _ = tx.send(T0, A, hb(v));
+        }
+        let r = tx.on_wire(T0, A, Wire::Ack { cum: 3 });
+        assert!(r.deliver.is_empty() && r.reply.is_none());
+        assert_eq!(tx.unacked_to(A), 2);
+        let resend = tx.tick(T0 + SimDuration::from_millis(10));
+        assert_eq!(seqs(resend.iter().map(|(_, w)| w)), vec![4, 5]);
+        let views: Vec<u64> = resend
+            .iter()
+            .map(|(_, w)| match w {
+                Wire::Data { msg, .. } => hb_view(msg),
+                _ => panic!(),
+            })
+            .collect();
+        assert_eq!(views, vec![4, 5], "each seq keeps its own message");
+    }
+
+    #[test]
+    fn stale_ack_below_the_window_is_a_no_op() {
+        let mut tx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        for v in 1..=4 {
+            let _ = tx.send(T0, A, hb(v));
+        }
+        let _ = tx.on_wire(T0, A, Wire::Ack { cum: 2 });
+        let before = tx.state_hash();
+        // A reordered older ack, and one for a peer with no stream at all.
+        let _ = tx.on_wire(T0, A, Wire::Ack { cum: 1 });
+        let _ = tx.on_wire(T0, A, Wire::Ack { cum: 0 });
+        let _ = tx.on_wire(T0, B, Wire::Ack { cum: 7 });
+        assert_eq!(tx.state_hash(), before);
+        assert_eq!(tx.unacked_to(A), 2);
+        let _ = tx.on_wire(T0, A, Wire::Ack { cum: 4 });
+        assert_eq!(tx.unacked_total(), 0);
+        // Numbering continues after a fully drained window.
+        assert_eq!(seqs([&tx.send(T0, A, hb(5))]), vec![5]);
+    }
+
+    #[test]
+    fn duplicate_of_an_acked_seq_is_dropped_and_reacked() {
+        let mut rx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        let mut tx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        let w1 = tx.send(T0, A, hb(1));
+        let w2 = tx.send(T0, A, hb(2));
+        let _ = rx.on_wire(T0, A, w1.clone());
+        let _ = rx.on_wire(T0, A, w2);
+        let before = rx.state_hash();
+        let r = rx.on_wire(T0, A, w1);
+        assert!(r.deliver.is_empty());
+        assert!(matches!(r.reply, Some(Wire::Ack { cum: 2 })));
+        assert_eq!(rx.state_hash(), before, "a duplicate changes nothing");
+    }
+
+    #[test]
+    fn gap_then_fill_through_the_fast_path() {
+        let mut rx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        let mut tx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        let w: Vec<Wire<u32>> = (1..=5).map(|v| tx.send(T0, A, hb(v))).collect();
+        let mut deliver = Vec::new();
+        // In order: straight through.
+        let ack = rx.on_wire_into(T0, A, w[0].clone(), &mut deliver);
+        assert!(matches!(ack, Some(Wire::Ack { cum: 1 })));
+        // Gap: 3 and 5 are held, nothing delivered, the ack stays at 1.
+        for i in [2, 4] {
+            let ack = rx.on_wire_into(T0, A, w[i].clone(), &mut deliver);
+            assert!(matches!(ack, Some(Wire::Ack { cum: 1 })));
+        }
+        assert_eq!(deliver.iter().map(hb_view).collect::<Vec<_>>(), vec![1]);
+        // 2 fills the first gap: delivered directly, then 3 from the buffer.
+        let ack = rx.on_wire_into(T0, A, w[1].clone(), &mut deliver);
+        assert!(matches!(ack, Some(Wire::Ack { cum: 3 })));
+        // 4 fills the second gap and releases 5.
+        let ack = rx.on_wire_into(T0, A, w[3].clone(), &mut deliver);
+        assert!(matches!(ack, Some(Wire::Ack { cum: 5 })));
+        assert_eq!(deliver.iter().map(hb_view).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
+        // The buffer is empty again: the fast-path receiver is in the same
+        // state as one that saw every frame in order.
+        let mut in_order: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        for f in &w {
+            let _ = in_order.on_wire(T0, A, f.clone());
+        }
+        assert_eq!(rx.state_hash(), in_order.state_hash());
+    }
+
+    #[test]
+    fn retransmission_is_ascending_per_peer_after_a_partial_ack() {
+        let mut tx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        for v in 1..=4 {
+            let _ = tx.send(T0, B, hb(v));
+            let _ = tx.send(T0, A, hb(10 + v));
+        }
+        let _ = tx.on_wire(T0, B, Wire::Ack { cum: 2 });
+        let resend = tx.tick(T0 + SimDuration::from_millis(10));
+        let peers: Vec<ProcId> = resend.iter().map(|(p, _)| *p).collect();
+        assert_eq!(peers, vec![A, A, A, A, B, B], "peers in ascending id order");
+        assert_eq!(seqs(resend.iter().map(|(_, w)| w)), vec![1, 2, 3, 4, 3, 4]);
+        // `tick_each` emits exactly what `tick` collects.
+        let mut twin: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        for v in 1..=4 {
+            let _ = twin.send(T0, B, hb(v));
+            let _ = twin.send(T0, A, hb(10 + v));
+        }
+        let _ = twin.on_wire(T0, B, Wire::Ack { cum: 2 });
+        let mut emitted = Vec::new();
+        twin.tick_each(T0 + SimDuration::from_millis(10), |p, w| emitted.push((p, w)));
+        assert_eq!(format!("{emitted:?}"), format!("{resend:?}"));
+        assert_eq!(twin.retransmissions, tx.retransmissions);
     }
 
     #[test]

@@ -473,7 +473,8 @@ impl World {
                 }
             }
             EventKind::Timer { proc, timer, tag, incarnation } => {
-                if self.cancelled_timers.remove(&timer.0) {
+                // Skip hashing the id while nothing is cancelled.
+                if !self.cancelled_timers.is_empty() && self.cancelled_timers.remove(&timer.0) {
                     // cancelled; swallow
                 } else if self.is_proc_alive(proc) && self.proc_incarnation(proc) == incarnation {
                     self.dispatch(proc, |p, ctx| p.on_timer(ctx, timer, tag));
